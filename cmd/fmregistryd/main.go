@@ -156,26 +156,7 @@ func run(args []string, out io.Writer) error {
 // health on a mux of its own.
 func metricsMux(store *registry.Durable, node *cluster.Node) *http.ServeMux {
 	reg := metrics.NewRegistry()
-	reg.GaugeFunc("fmregistry_keys", "distinct die identities on file",
-		func() int64 { return store.Stats().Keys })
-	reg.GaugeFunc("fmregistry_enrollments", "enrollments applied, duplicates included",
-		func() int64 { return store.Stats().Enrollments })
-	reg.GaugeFunc("fmregistry_conflicts", "die identities claimed by multiple physical fingerprints",
-		func() int64 { return store.Stats().Conflicts })
-	reg.GaugeFunc("fmregistry_lookups", "registry lookups served",
-		func() int64 { return store.Stats().Lookups })
-	reg.GaugeFunc("fmregistry_wal_appends_total", "records appended to the registry WAL",
-		func() int64 { return store.Stats().WALAppends })
-	reg.GaugeFunc("fmregistry_wal_fsyncs_total", "fsyncs of the registry WAL (group commit batches these)",
-		func() int64 { return store.Stats().WALFsyncs })
-	reg.GaugeFunc("fmregistry_wal_segments", "WAL generation files on disk (growth with flat compactions means compaction is failing)",
-		func() int64 { return store.Stats().WALSegments })
-	reg.GaugeFunc("fmregistry_compactions_total", "registry snapshot compactions completed",
-		func() int64 { return store.Stats().Compactions })
-	reg.GaugeFunc("fmregistry_last_compaction_gen", "generation of the newest on-disk snapshot (0 = never compacted)",
-		func() int64 { return int64(store.Stats().LastCompaction) })
-	reg.GaugeFunc("fmregistry_recovery_us", "microseconds the last Open spent rebuilding registry state",
-		func() int64 { return store.Stats().Recovery.Microseconds() })
+	registry.RegisterMetrics(reg, store)
 	reg.GaugeFunc("fmcluster_is_primary", "1 when this node serves as primary",
 		func() int64 {
 			if node.Role() == cluster.RolePrimary {

@@ -13,9 +13,10 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/flashmark/flashmark/internal/registry"
 )
@@ -41,21 +42,30 @@ func NewRing(n int) (*Ring, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: ring needs at least one shard, got %d", n)
 	}
-	r := &Ring{
-		hashes: make([]uint64, 0, n*vnodesPerShard),
-		shards: make([]int, 0, n*vnodesPerShard),
-		n:      n,
+	type point struct {
+		hash  uint64
+		shard int
 	}
+	points := make([]point, 0, n*vnodesPerShard)
 	var label [16]byte
 	for shard := 0; shard < n; shard++ {
 		for v := 0; v < vnodesPerShard; v++ {
 			binary.LittleEndian.PutUint64(label[:8], uint64(shard))
 			binary.LittleEndian.PutUint64(label[8:], uint64(v))
-			r.hashes = append(r.hashes, fnv64a(label[:]))
-			r.shards = append(r.shards, shard)
+			points = append(points, point{fnv64a(label[:]), shard})
 		}
 	}
-	sort.Sort(ringPoints{r.hashes, r.shards})
+	slices.SortFunc(points, func(a, b point) int {
+		return cmp.Or(cmp.Compare(a.hash, b.hash), cmp.Compare(a.shard, b.shard))
+	})
+	r := &Ring{
+		hashes: make([]uint64, len(points)),
+		shards: make([]int, len(points)),
+		n:      n,
+	}
+	for i, p := range points {
+		r.hashes[i], r.shards[i] = p.hash, p.shard
+	}
 	return r, nil
 }
 
@@ -69,7 +79,7 @@ func (r *Ring) Shard(k registry.Key) int {
 		return 0
 	}
 	h := keyHash(k)
-	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
+	i, _ := slices.BinarySearch(r.hashes, h)
 	if i == len(r.hashes) {
 		i = 0
 	}
@@ -107,17 +117,4 @@ func fnv64a(p []byte) uint64 {
 		h = (h ^ uint64(b)) * prime64
 	}
 	return h
-}
-
-// ringPoints sorts vnode hashes and their shard owners together.
-type ringPoints struct {
-	hashes []uint64
-	shards []int
-}
-
-func (p ringPoints) Len() int           { return len(p.hashes) }
-func (p ringPoints) Less(i, j int) bool { return p.hashes[i] < p.hashes[j] }
-func (p ringPoints) Swap(i, j int) {
-	p.hashes[i], p.hashes[j] = p.hashes[j], p.hashes[i]
-	p.shards[i], p.shards[j] = p.shards[j], p.shards[i]
 }

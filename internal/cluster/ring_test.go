@@ -84,3 +84,44 @@ func TestRingManufacturerMatters(t *testing.T) {
 		t.Fatal("manufacturer is ignored by the ring hash")
 	}
 }
+
+// TestRingRoutingTablePinned fixes the routing table across revisions:
+// the owning shard of each key at 2, 3 and 4 shards. The table is part
+// of the cluster's configuration contract; a change here reroutes
+// enrolled identities away from the shard that holds them.
+func TestRingRoutingTablePinned(t *testing.T) {
+	keys := []registry.Key{
+		{Manufacturer: "TC", DieID: 0},
+		{Manufacturer: "TC", DieID: 1},
+		{Manufacturer: "TC", DieID: 2},
+		{Manufacturer: "TC", DieID: 3},
+		{Manufacturer: "TC", DieID: 1001},
+		{Manufacturer: "TC", DieID: 4003},
+		{Manufacturer: "TC", DieID: 9001},
+		{Manufacturer: "TC", DieID: 1 << 32},
+		{Manufacturer: "TC", DieID: ^uint64(0)},
+		{Manufacturer: "FM", DieID: 42},
+		{Manufacturer: "ACME", DieID: 7},
+		{Manufacturer: "mfg-b", DieID: 42},
+		{Manufacturer: "", DieID: 0},
+		{Manufacturer: "\x00crp\x00TC", DieID: 4003},
+		{Manufacturer: "\x00crp\x00TC", DieID: 1001},
+		{Manufacturer: "Texas Cells", DieID: 123456789},
+	}
+	want := map[int][]int{
+		2: {0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1},
+		3: {2, 2, 2, 2, 0, 0, 2, 0, 2, 0, 2, 2, 1, 0, 1, 2},
+		4: {3, 3, 3, 3, 0, 0, 2, 0, 2, 0, 3, 2, 1, 0, 3, 3},
+	}
+	for shards, table := range want {
+		ring, err := NewRing(shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			if got := ring.Shard(k); got != table[i] {
+				t.Errorf("%d shards: key %+v routed to %d, want %d", shards, k, got, table[i])
+			}
+		}
+	}
+}

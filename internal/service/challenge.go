@@ -20,8 +20,6 @@ package service
 // answers stay byte-identical.
 
 import (
-	"context"
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -125,66 +123,31 @@ func (s *Server) enrollChallenge(k registry.Key, source string, raw []byte) (cha
 // physics-GENUINE chip is worth challenging), interrogate it, and judge
 // the response against the enrolled fingerprint.
 func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
-	start := s.cfg.Now()
-	s.met.requests.Inc()
-	defer func() { s.met.latency.ObserveDuration(s.since(start)) }()
-	if r.Method != http.MethodPost {
-		s.met.errors.Inc()
-		writeError(w, http.StatusMethodNotAllowed, "use POST with a chip file body")
+	c := s.newCall(w, r)
+	defer c.close()
+	if !c.open("use POST with a chip file body", s.cfg.Challenge != nil,
+		"no challenge-response plane configured (start fmverifyd with -challenge)") {
 		return
 	}
-	if s.cfg.Challenge == nil {
-		s.met.errors.Inc()
-		writeError(w, http.StatusNotImplemented, "no challenge-response plane configured (start fmverifyd with -challenge)")
-		return
-	}
-	done, ok := s.beginRequest()
+	ctx, ok := c.admit()
 	if !ok {
-		s.met.errors.Inc()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	defer done()
-	raw, releaseBody, herr := s.readBody(w, r)
+	_, rep, verdict, _, herr := s.screenCached(ctx, chipKey(c.raw), c.raw)
 	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	defer releaseBody()
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if err == errOverloaded {
-			s.met.rejected.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "verification queue is full; retry later")
-			return
-		}
-		s.met.errors.Inc()
-		writeError(w, statusClientClosedRequest, "client canceled while queued")
-		return
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	_, rep, verdict, _, herr := s.screenCached(ctx, chipKey(raw), raw)
-	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
+		c.fail(herr)
 		return
 	}
 	k, _, ok := chipIdentity(&rep)
 	if !ok {
 		s.countChip(verdict)
-		s.met.errors.Inc()
-		writeError(w, http.StatusUnprocessableEntity,
-			"only chips that verify GENUINE can be challenged; this chip screened "+rep.Verdict)
+		c.fail(&httpError{http.StatusUnprocessableEntity,
+			"only chips that verify GENUINE can be challenged; this chip screened " + rep.Verdict})
 		return
 	}
-	resp, devUs, herr := s.interrogateRaw(raw)
+	resp, devUs, herr := s.interrogateRaw(c.raw)
 	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
+		c.fail(herr)
 		return
 	}
 	s.met.challenges.Inc()
@@ -230,14 +193,13 @@ func (s *Server) handleChallenge(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.countChip(counterfeit.VerdictDuplicateID)
 	}
-	body, merr := json.Marshal(out)
-	if merr != nil {
-		s.met.errors.Inc()
-		writeError(w, http.StatusInternalServerError, "encoding report: "+merr.Error())
+	body, herr := marshalReport(&out)
+	if herr != nil {
+		c.fail(herr)
 		return
 	}
 	s.logf("challenge %s/%d (%s) -> %s (enrolled=%v match=%v) in %v",
 		k.Manufacturer, k.DieID, rep.SHA256[:12], out.Verdict, out.Enrolled, out.Match,
-		s.since(start).Round(time.Millisecond))
+		s.since(c.start).Round(time.Millisecond))
 	writeJSONBody(w, http.StatusOK, body)
 }

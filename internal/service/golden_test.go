@@ -22,8 +22,8 @@ import (
 // The goldens were recorded against the pre-refactor handlers (per-report
 // json.Marshal); the zero-alloc pipeline must reproduce them byte for
 // byte, which is the PR-4-style equivalence proof for the whole request
-// lifecycle: format sniffing, loader reuse, the append-style report
-// encoder, and the no-unmarshal provenance overlay all sit under this
+// lifecycle: format sniffing, loader reuse, the encoding/json report
+// encoding, and the no-unmarshal provenance overlay all sit under this
 // test. Regenerate deliberately with:
 //
 //	go test ./internal/service/ -run TestGolden -update

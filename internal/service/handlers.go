@@ -7,9 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"github.com/flashmark/flashmark/internal/counterfeit"
@@ -74,78 +72,6 @@ type BatchSummary struct {
 type BatchResponse struct {
 	Results []json.RawMessage `json:"results"`
 	Summary BatchSummary      `json:"summary"`
-}
-
-// httpError carries a status code through the screening path.
-type httpError struct {
-	status int
-	msg    string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, "{\"error\":%q}\n", msg)
-}
-
-func writeJSONBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-	if len(body) == 0 || body[len(body)-1] != '\n' {
-		_, _ = io.WriteString(w, "\n")
-	}
-}
-
-// beginRequest registers an in-flight verification unless the server is
-// draining; the caller must invoke the returned done func.
-func (s *Server) beginRequest() (done func(), ok bool) {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	if s.Draining() {
-		return nil, false
-	}
-	s.inflight.Add(1)
-	return func() { s.inflight.Done() }, true
-}
-
-// bodyScratch recycles request-body read buffers across requests: the
-// dominant body (one chip file, ~100KB of base64) is read into pooled
-// capacity instead of a fresh io.ReadAll allocation chain per request.
-var bodyScratch = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
-
-// readBody drains the request body under the configured cap into a
-// pooled buffer. On success the caller owns raw until it calls release
-// (typically deferred to the end of the handler); raw must not be
-// retained past it. Everything handed onward — report bodies, cache
-// entries, batch chip elements — is copied out of raw by construction.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (raw []byte, release func(), herr *httpError) {
-	bp := bodyScratch.Get().(*[]byte)
-	buf := (*bp)[:0]
-	lr := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := lr.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			*bp = buf[:0]
-			bodyScratch.Put(bp)
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				return nil, nil, &httpError{http.StatusRequestEntityTooLarge,
-					fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
-			}
-			return nil, nil, &httpError{http.StatusBadRequest, "reading request body: " + err.Error()}
-		}
-	}
-	return buf, func() { *bp = buf[:0]; bodyScratch.Put(bp) }, nil
 }
 
 // sniffFormat scans the head of a chip file for the leading
@@ -287,9 +213,9 @@ func (s *Server) screenChip(ctx context.Context, raw []byte, sum string) ([]byte
 	if res.FaultErr != nil {
 		rep.Fault = res.FaultErr.Error()
 	}
-	body, err := encodeChipReport(&rep)
-	if err != nil {
-		return nil, ChipReport{}, 0, &httpError{http.StatusInternalServerError, "encoding report: " + err.Error()}
+	body, herr := marshalReport(&rep)
+	if herr != nil {
+		return nil, ChipReport{}, 0, herr
 	}
 	return body, rep, res.Verdict, nil
 }
@@ -339,70 +265,34 @@ func (s *Server) countChip(v counterfeit.Verdict) {
 // handleVerify answers POST /v1/verify: one chip file in, one
 // ChipReport out.
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	start := s.cfg.Now()
-	s.met.requests.Inc()
-	defer func() { s.met.latency.ObserveDuration(s.since(start)) }()
-	if r.Method != http.MethodPost {
-		s.met.errors.Inc()
-		writeError(w, http.StatusMethodNotAllowed, "use POST with a chip file body")
+	c := s.newCall(w, r)
+	defer c.close()
+	if !c.open("use POST with a chip file body", true, "") {
 		return
 	}
-	done, ok := s.beginRequest()
-	if !ok {
-		s.met.errors.Inc()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	defer done()
-	raw, release, herr := s.readBody(w, r)
-	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	defer release()
 	// A cache hit bypasses admission: it consumes no verification
 	// worker. The provenance overlay still applies — escalation depends
 	// on live registry state, which is exactly what the cache omits.
-	key := chipKey(raw)
-	if body, rep, verdict, ok := s.cache.Get(key); ok {
+	key := chipKey(c.raw)
+	body, rep, verdict, hit := s.cache.Get(key)
+	cached := hit
+	if hit {
 		s.met.cacheHit.Inc()
-		body, verdict, herr := s.applyProvenance(body, &rep, verdict)
+	} else {
+		ctx, ok := c.admit()
+		if !ok {
+			return
+		}
+		var herr *httpError
+		body, rep, verdict, cached, herr = s.screenCached(ctx, key, c.raw)
 		if herr != nil {
-			s.met.errors.Inc()
-			writeError(w, herr.status, herr.msg)
+			c.fail(herr)
 			return
 		}
-		s.countChip(verdict)
-		w.Header().Set("X-Cache", "hit")
-		writeJSONBody(w, http.StatusOK, body)
-		return
 	}
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if errors.Is(err, errOverloaded) {
-			s.met.rejected.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "verification queue is full; retry later")
-			return
-		}
-		s.met.errors.Inc()
-		writeError(w, statusClientClosedRequest, "client canceled while queued")
-		return
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	body, rep, verdict, cached, herr := s.screenCached(ctx, key, raw)
+	body, verdict, herr := s.applyProvenance(body, &rep, verdict)
 	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	body, verdict, herr = s.applyProvenance(body, &rep, verdict)
-	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
+		c.fail(herr)
 		return
 	}
 	s.countChip(verdict)
@@ -411,7 +301,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("X-Cache", "miss")
 	}
-	s.logf("verify %s -> %s in %v", key[:12], verdict, s.since(start).Round(time.Millisecond))
+	if !hit {
+		s.logf("verify %s -> %s in %v", key[:12], verdict, s.since(c.start).Round(time.Millisecond))
+	}
 	writeJSONBody(w, http.StatusOK, body)
 }
 
@@ -420,59 +312,29 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 // indexed by input order, so two identical batch requests produce
 // byte-identical response bodies no matter how the fan-out is scheduled.
 func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
-	start := s.cfg.Now()
-	s.met.requests.Inc()
-	defer func() { s.met.latency.ObserveDuration(s.since(start)) }()
-	if r.Method != http.MethodPost {
-		s.met.errors.Inc()
-		writeError(w, http.StatusMethodNotAllowed, "use POST with a JSON batch body")
+	c := s.newCall(w, r)
+	defer c.close()
+	if !c.open("use POST with a JSON batch body", true, "") {
 		return
 	}
-	done, ok := s.beginRequest()
-	if !ok {
-		s.met.errors.Inc()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	defer done()
-	raw, release, herr := s.readBody(w, r)
-	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	defer release()
 	// Unmarshal copies each chip element out of raw (RawMessage always
 	// appends into its own storage), so the pooled body can be released
 	// when the handler returns.
 	var req BatchRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		s.met.errors.Inc()
-		writeError(w, http.StatusBadRequest, "batch body must be {\"chips\":[...]}: "+err.Error())
+	if err := json.Unmarshal(c.raw, &req); err != nil {
+		c.fail(&httpError{http.StatusBadRequest, "batch body must be {\"chips\":[...]}: " + err.Error()})
 		return
 	}
 	if len(req.Chips) == 0 {
-		s.met.errors.Inc()
-		writeError(w, http.StatusBadRequest, "batch contains no chips")
+		c.fail(&httpError{http.StatusBadRequest, "batch contains no chips"})
 		return
 	}
 	// The whole batch occupies one admission slot; its internal fan-out
 	// is bounded separately by BatchWorkers on the parallel engine.
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if errors.Is(err, errOverloaded) {
-			s.met.rejected.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "verification queue is full; retry later")
-			return
-		}
-		s.met.errors.Inc()
-		writeError(w, statusClientClosedRequest, "client canceled while queued")
+	ctx, ok := c.admit()
+	if !ok {
 		return
 	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
 
 	type chipOutcome struct {
 		body    []byte
@@ -490,7 +352,7 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 				return chipOutcome{}, ctx.Err()
 			}
 			rep := ChipReport{SHA256: key, Verdict: "ERROR", Error: herr.msg}
-			eb, merr := encodeChipReport(&rep)
+			eb, merr := json.Marshal(rep)
 			if merr != nil {
 				return chipOutcome{}, merr
 			}
@@ -501,30 +363,30 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.met.deadlines.Inc()
-			s.met.errors.Inc()
-			writeError(w, http.StatusGatewayTimeout, "batch verification deadline exceeded")
+			c.fail(&httpError{http.StatusGatewayTimeout, "batch verification deadline exceeded"})
 			return
 		}
-		s.met.errors.Inc()
-		writeError(w, http.StatusInternalServerError, "batch verification failed: "+err.Error())
+		c.fail(&httpError{http.StatusInternalServerError, "batch verification failed: " + err.Error()})
 		return
 	}
 	// Registry post-pass: serial, in input order, after the parallel
 	// physics fan-out — the response stays byte-deterministic no matter
 	// how the fan-out was scheduled.
-	bodies := make([][]byte, len(outcomes))
+	resp := BatchResponse{
+		Results: make([]json.RawMessage, len(outcomes)),
+		Summary: BatchSummary{Chips: len(outcomes), Verdicts: make(map[string]int)},
+	}
 	reps := make([]ChipReport, len(outcomes))
 	verdicts := make([]counterfeit.Verdict, len(outcomes))
 	failed := make([]bool, len(outcomes))
 	for i, o := range outcomes {
-		bodies[i], reps[i], verdicts[i], failed[i] = o.body, o.rep, o.verdict, o.failed
+		resp.Results[i], reps[i], verdicts[i], failed[i] = o.body, o.rep, o.verdict, o.failed
 	}
-	if herr := s.batchProvenance(bodies, reps, verdicts, failed); herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
+	if herr := s.batchProvenance(resp.Results, reps, verdicts, failed); herr != nil {
+		c.fail(herr)
 		return
 	}
-	summary := BatchSummary{Chips: len(outcomes), Verdicts: make(map[string]int)}
+	summary := &resp.Summary
 	for i := range outcomes {
 		if failed[i] {
 			summary.Failed++
@@ -538,10 +400,14 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 			summary.Refused++
 		}
 	}
-	body := appendBatchResponse(nil, bodies, summary, nil)
+	body, herr := marshalReport(&resp)
+	if herr != nil {
+		c.fail(herr)
+		return
+	}
 	s.logf("batch of %d -> %d accepted, %d refused, %d failed in %v",
 		summary.Chips, summary.Accepted, summary.Refused,
-		summary.Failed, s.since(start).Round(time.Millisecond))
+		summary.Failed, s.since(c.start).Round(time.Millisecond))
 	writeJSONBody(w, http.StatusOK, body)
 }
 

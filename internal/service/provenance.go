@@ -21,13 +21,11 @@ package service
 // stay deterministic for a given registry state.
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"time"
 
 	"github.com/flashmark/flashmark/internal/counterfeit"
-	"github.com/flashmark/flashmark/internal/metrics"
 	"github.com/flashmark/flashmark/internal/registry"
 )
 
@@ -55,31 +53,6 @@ type EnrollReport struct {
 	// chip claiming it, caught on the challenge axis at enrollment.
 	ChallengeFingerprint string `json:"challengeFingerprint,omitempty"`
 	ChallengeConflict    bool   `json:"challengeConflict,omitempty"`
-}
-
-// registerRegistryGauges exposes the provenance store's counters on
-// /metrics; called once at New when a store is configured.
-func registerRegistryGauges(reg *metrics.Registry, store registry.Store) {
-	reg.GaugeFunc("fmregistry_keys", "distinct die identities on file",
-		func() int64 { return store.Stats().Keys })
-	reg.GaugeFunc("fmregistry_enrollments", "enrollments applied, duplicates included",
-		func() int64 { return store.Stats().Enrollments })
-	reg.GaugeFunc("fmregistry_conflicts", "die identities claimed by multiple physical fingerprints",
-		func() int64 { return store.Stats().Conflicts })
-	reg.GaugeFunc("fmregistry_lookups", "registry lookups served",
-		func() int64 { return store.Stats().Lookups })
-	reg.GaugeFunc("fmregistry_wal_appends_total", "records appended to the registry WAL",
-		func() int64 { return store.Stats().WALAppends })
-	reg.GaugeFunc("fmregistry_wal_fsyncs_total", "fsyncs of the registry WAL (group commit batches these)",
-		func() int64 { return store.Stats().WALFsyncs })
-	reg.GaugeFunc("fmregistry_compactions_total", "registry snapshot compactions completed",
-		func() int64 { return store.Stats().Compactions })
-	reg.GaugeFunc("fmregistry_wal_segments", "WAL generation files on disk (growth with flat compactions means compaction is failing)",
-		func() int64 { return store.Stats().WALSegments })
-	reg.GaugeFunc("fmregistry_last_compaction_gen", "generation of the newest on-disk snapshot (0 = never compacted)",
-		func() int64 { return int64(store.Stats().LastCompaction) })
-	reg.GaugeFunc("fmregistry_recovery_us", "microseconds the last Open spent rebuilding registry state",
-		func() int64 { return store.Stats().Recovery.Microseconds() })
 }
 
 // BatchLookuper is the bulk read-side a distributed provenance backend
@@ -138,9 +111,12 @@ func (s *Server) escalate(rep *ChipReport, reason string) ([]byte, counterfeit.V
 	rep.Verdict = counterfeit.VerdictDuplicateID.String()
 	rep.Accepted = false
 	rep.Provenance = reason
-	body, err := encodeChipReport(rep)
-	if err != nil {
-		return nil, 0, &httpError{http.StatusInternalServerError, "encoding report: " + err.Error()}
+	// Marshal a copy: handing rep itself to json.Marshal would move the
+	// caller's report to the heap on every request, escalated or not.
+	out := *rep
+	body, herr := marshalReport(&out)
+	if herr != nil {
+		return nil, 0, herr
 	}
 	s.met.escalations.Inc()
 	return body, counterfeit.VerdictDuplicateID, nil
@@ -175,7 +151,7 @@ func (s *Server) applyProvenance(body []byte, rep *ChipReport, verdict counterfe
 // a duplicated id is flagged too. Identical chip bytes repeated in one
 // batch carry the same fingerprint and do not escalate, so client
 // retries stay safe.
-func (s *Server) batchProvenance(bodies [][]byte, reps []ChipReport, verdicts []counterfeit.Verdict, failed []bool) *httpError {
+func (s *Server) batchProvenance(bodies []json.RawMessage, reps []ChipReport, verdicts []counterfeit.Verdict, failed []bool) *httpError {
 	if s.cfg.Provenance == nil {
 		return nil
 	}
@@ -248,60 +224,26 @@ func (s *Server) batchProvenance(bodies [][]byte, reps []ChipReport, verdicts []
 // response reports what the registry knew: a conflict means this
 // physical chip is the second claimant of the die id.
 func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
-	start := s.cfg.Now()
-	s.met.requests.Inc()
-	defer func() { s.met.latency.ObserveDuration(s.since(start)) }()
-	if r.Method != http.MethodPost {
-		s.met.errors.Inc()
-		writeError(w, http.StatusMethodNotAllowed, "use POST with a chip file body")
+	c := s.newCall(w, r)
+	defer c.close()
+	if !c.open("use POST with a chip file body", s.cfg.Provenance != nil,
+		"no fleet registry configured (start fmverifyd with -registry-dir)") {
 		return
 	}
-	if s.cfg.Provenance == nil {
-		s.met.errors.Inc()
-		writeError(w, http.StatusNotImplemented, "no fleet registry configured (start fmverifyd with -registry-dir)")
-		return
-	}
-	done, ok := s.beginRequest()
+	ctx, ok := c.admit()
 	if !ok {
-		s.met.errors.Inc()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	defer done()
-	raw, releaseBody, herr := s.readBody(w, r)
+	_, rep, verdict, _, herr := s.screenCached(ctx, chipKey(c.raw), c.raw)
 	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	defer releaseBody()
-	release, err := s.gate.acquire(r.Context())
-	if err != nil {
-		if err == errOverloaded {
-			s.met.rejected.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "verification queue is full; retry later")
-			return
-		}
-		s.met.errors.Inc()
-		writeError(w, statusClientClosedRequest, "client canceled while queued")
-		return
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	_, rep, verdict, _, herr := s.screenCached(ctx, chipKey(raw), raw)
-	if herr != nil {
-		s.met.errors.Inc()
-		writeError(w, herr.status, herr.msg)
+		c.fail(herr)
 		return
 	}
 	k, fp, ok := chipIdentity(&rep)
 	if !ok {
 		s.countChip(verdict)
-		s.met.errors.Inc()
-		writeError(w, http.StatusUnprocessableEntity,
-			"only chips that verify GENUINE can be enrolled; this chip screened "+rep.Verdict)
+		c.fail(&httpError{http.StatusUnprocessableEntity,
+			"only chips that verify GENUINE can be enrolled; this chip screened " + rep.Verdict})
 		return
 	}
 	source := r.URL.Query().Get("source")
@@ -321,8 +263,7 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 		UnixMicro:   s.cfg.Now().UnixMicro(),
 	})
 	if err != nil {
-		s.met.errors.Inc()
-		writeError(w, http.StatusInternalServerError, "enrollment failed: "+err.Error())
+		c.fail(&httpError{http.StatusInternalServerError, "enrollment failed: " + err.Error()})
 		return
 	}
 	s.met.enrolls.Inc()
@@ -344,10 +285,9 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 		Conflict:     res.Conflict,
 	}
 	if s.cfg.Challenge != nil {
-		resp, chRes, herr := s.enrollChallenge(k, source, raw)
+		resp, chRes, herr := s.enrollChallenge(k, source, c.raw)
 		if herr != nil {
-			s.met.errors.Inc()
-			writeError(w, herr.status, herr.msg)
+			c.fail(herr)
 			return
 		}
 		out.ChallengeFingerprint = resp.Fingerprint.String()
@@ -362,15 +302,14 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 		out.Accepted = false
 	}
 	s.countChip(verdictFromEnroll(res))
-	respBody, merr := json.Marshal(out)
-	if merr != nil {
-		s.met.errors.Inc()
-		writeError(w, http.StatusInternalServerError, "encoding report: "+merr.Error())
+	respBody, herr := marshalReport(&out)
+	if herr != nil {
+		c.fail(herr)
 		return
 	}
 	s.logf("enroll %s/%d (%s) -> count=%d conflict=%v in %v",
 		k.Manufacturer, k.DieID, rep.SHA256[:12], res.Count, res.Conflict,
-		s.since(start).Round(time.Millisecond))
+		s.since(c.start).Round(time.Millisecond))
 	writeJSONBody(w, http.StatusOK, respBody)
 }
 

@@ -236,7 +236,7 @@ func New(cfg Config) (*Server, error) {
 	s.loaders.New = func() any { return new(chipLoader) }
 	s.met = newServiceMetrics(cfg.Registry, s.gate, s.cache)
 	if cfg.Provenance != nil {
-		registerRegistryGauges(cfg.Registry, cfg.Provenance)
+		registry.RegisterMetrics(cfg.Registry, cfg.Provenance)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/verify", s.handleVerify)

@@ -36,8 +36,8 @@
 # against scripts/bench_hotpath_baseline.json:
 #   - allocs/op is a hard ceiling on both the cache-miss and cache-hit
 #     /v1/verify paths: the allocation profile is deterministic, so any
-#     excess is a lifecycle regression (a dropped pool, a reflection
-#     encoder creeping back in), not runner noise.
+#     excess is a lifecycle regression (a dropped pool, a report that
+#     escapes to the heap on every request), not runner noise.
 #   - chips-verified/sec has a loose floor on the miss path only,
 #     proving the benchmark exercised real verifications.
 #
